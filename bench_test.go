@@ -250,6 +250,45 @@ func BenchmarkKRADAllot(b *testing.B) {
 			}
 		})
 	}
+	// Rising-ID churn, as in a long-running daemon: 64 live jobs, each
+	// finishing a few steps after admission and replaced by a fresh,
+	// higher ID, with completions reported through JobsDone. Job IDs climb
+	// with b.N, so ns/op must stay flat as b.N grows: per-step cost may
+	// depend on the live jobs, never on the highest ID seen.
+	b.Run("churn/K=3/live=64", func(b *testing.B) {
+		const k, live = 3, 64
+		s := krad.NewKRAD(k)
+		caps := []int{8, 8, 8}
+		jobs := make([]krad.JobView, 0, live)
+		left := make([]int, 0, live) // steps until each live job finishes
+		var done []int
+		next := 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for len(jobs) < live {
+				d := make([]int, k)
+				for a := range d {
+					d[a] = (next + a) % 7
+				}
+				jobs = append(jobs, krad.JobView{ID: next, Desire: d})
+				left = append(left, 1+next%13)
+				next++
+			}
+			s.Allot(int64(i), jobs, caps)
+			done = done[:0]
+			n := 0
+			for j, v := range jobs {
+				if left[j]--; left[j] > 0 {
+					jobs[n], left[n] = v, left[j]
+					n++
+				} else {
+					done = append(done, v.ID)
+				}
+			}
+			jobs, left = jobs[:n], left[:n]
+			s.JobsDone(done)
+		}
+	})
 }
 
 // BenchmarkEngineRun measures end-to-end simulation throughput.

@@ -72,7 +72,9 @@
 // makes the event stream watchable.
 //
 // SIGINT/SIGTERM trigger a graceful drain: admission stops, in-flight
-// jobs run to completion (bounded by -drain), then the process exits.
+// jobs run to completion (bounded by -drain), then the process exits 0.
+// The handler is installed at process start, so a signal that arrives
+// during journal replay drains as soon as replay finishes.
 package main
 
 import (
@@ -136,6 +138,11 @@ func bootstrapHandler() http.Handler {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kradd: ")
+	// Trap SIGINT/SIGTERM before anything else: a signal that lands during
+	// journal replay, or the instant /readyz turns 200, must take the drain
+	// path below rather than the default handler's immediate exit.
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer cancel()
 	var (
 		addrFlag   = flag.String("addr", ":8080", "HTTP listen address")
 		kFlag      = flag.Int("k", 3, "number of resource categories")
@@ -366,9 +373,6 @@ func main() {
 
 	svc.Start()
 	handler.swap(svc.Handler())
-
-	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer cancel()
 
 	log.Printf("listening on %s (K=%d caps=%v sched=%s step=%v queue=%d shards=%d placement=%s)",
 		*addrFlag, *kFlag, caps, *schedFlag, *stepFlag, *queueFlag, *shardFlag, *placeFlag)

@@ -40,17 +40,15 @@ func (deqOnly) Allot(t int64, jobs []sched.CatJob, p int) []int {
 
 // rrOnly always time-shares in batched round-robin cycles, one processor
 // per job per cycle, even when there are idle processors a wide job could
-// use — the failure mode DEQ exists to fix.
-type rrOnly struct {
-	marked map[int]bool
-	rot    int // rotates the cycle-completing bonus, as in core.RAD
-}
+// use — the failure mode DEQ exists to fix. It shares core.RAD's marks and
+// bonus rotation; the embedded RoundRobin also supplies JobsDone.
+type rrOnly struct{ core.RoundRobin }
 
 // NewRROnly returns the round-robin-without-DEQ scheduler for k categories.
 func NewRROnly(k int) *sched.PerCategory {
 	cats := make([]sched.CategoryScheduler, k)
 	for i := range cats {
-		cats[i] = &rrOnly{marked: make(map[int]bool)}
+		cats[i] = &rrOnly{}
 	}
 	return sched.NewPerCategory("rr-only", cats)
 }
@@ -62,46 +60,19 @@ func (r *rrOnly) Allot(t int64, jobs []sched.CatJob, p int) []int {
 	if len(jobs) == 0 || p <= 0 {
 		return allot
 	}
-	var q, qp []int
-	for i, j := range jobs {
-		if r.marked[j.ID] {
-			qp = append(qp, i)
-		} else {
-			q = append(q, i)
-		}
-	}
+	q, qp := r.Split(jobs, nil, nil)
 	if len(q) > p {
-		for _, i := range q[:p] {
-			allot[i] = 1
-			r.marked[jobs[i].ID] = true
-		}
-		return allot
+		q = q[:p]
+		r.Serve(jobs, q)
+	} else {
+		// Cycle completes: every unmarked job plus the rotated bonus share
+		// of marked jobs, still one processor each — RR never space-shares.
+		q = r.Complete(q, qp, p)
 	}
-	// Cycle completes: give every unmarked job one processor, spend any
-	// leftover on marked jobs (still one each — RR never space-shares),
-	// rotating which marked jobs benefit across cycles.
 	for _, i := range q {
 		allot[i] = 1
 	}
-	left := p - len(q)
-	if left > len(qp) {
-		left = len(qp)
-	}
-	if left > 0 {
-		start := r.rot % len(qp)
-		for j := 0; j < left; j++ {
-			allot[qp[(start+j)%len(qp)]] = 1
-		}
-		r.rot += left
-	}
-	clear(r.marked)
 	return allot
-}
-
-func (r *rrOnly) JobsDone(ids []int) {
-	for _, id := range ids {
-		delete(r.marked, id)
-	}
 }
 
 // equi is classic equi-partitioning: every α-active job receives an equal

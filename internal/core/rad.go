@@ -3,9 +3,102 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"krad/internal/sched"
 )
+
+// RoundRobin is the state batched round-robin cycles carry between steps:
+// which jobs were already served in the current cycle (Figure 2's marks),
+// and which marked jobs receive the next cycle-completing bonus. RAD,
+// RandomRAD and the rr-only baseline share it.
+//
+// The marks are an ascending list of job IDs. Jobs enter it only when
+// served and leave it when the cycle completes or when JobsDone reports
+// them finished, so it never holds more than the live jobs, however high
+// job IDs climb in a long-running daemon. Split, Serve and JobsDone are
+// each one merge pass over the marks and their argument; completing a
+// cycle truncates the list.
+type RoundRobin struct {
+	marked []int // ascending IDs of the jobs served in the current cycle
+	// rot rotates which marked jobs receive the cycle-completing bonus
+	// service (the move from Q′ to Q). Figure 2 leaves the choice
+	// unspecified; rotating it keeps long-run service counts equal instead
+	// of systematically favoring the lowest job IDs.
+	rot int
+}
+
+// Split appends to q the indices of the jobs not yet served in the current
+// cycle (Q) and to qp the indices of those already served (Q′), both in
+// job order. jobs is in ascending ID order (the CategoryScheduler
+// contract), so a single cursor walks the marks alongside it.
+func (rr *RoundRobin) Split(jobs []sched.CatJob, q, qp []int) ([]int, []int) {
+	m, c := rr.marked, 0
+	for i, j := range jobs {
+		for c < len(m) && m[c] < j.ID {
+			c++
+		}
+		if c < len(m) && m[c] == j.ID {
+			qp = append(qp, i)
+		} else {
+			q = append(q, i)
+		}
+	}
+	return q, qp
+}
+
+// Serve marks jobs[i] served for every index i in idx, which must be
+// ascending. The new IDs are merged into the marks from the back, in
+// place.
+func (rr *RoundRobin) Serve(jobs []sched.CatJob, idx []int) {
+	n := len(rr.marked)
+	m := slices.Grow(rr.marked, len(idx))[:n+len(idx)]
+	k := len(m) - 1
+	for j := len(idx) - 1; j >= 0; j-- {
+		id := jobs[idx[j]].ID
+		for n > 0 && m[n-1] > id {
+			m[k] = m[n-1]
+			n--
+			k--
+		}
+		m[k] = id
+		k--
+	}
+	rr.marked = m
+}
+
+// Complete ends the current cycle: it appends to q up to p−len(q) of the
+// served jobs in qp — the bonus, rotated across cycles — so no processor
+// idles, then clears every mark. It returns the extended q.
+func (rr *RoundRobin) Complete(q, qp []int, p int) []int {
+	if need := min(p-len(q), len(qp)); need > 0 {
+		start := rr.rot % len(qp)
+		for j := 0; j < need; j++ {
+			q = append(q, qp[(start+j)%len(qp)])
+		}
+		rr.rot += need
+	}
+	rr.marked = rr.marked[:0]
+	return q
+}
+
+// JobsDone drops the marks of finished jobs in one merge pass; ids is in
+// ascending order (the sched.Completer contract).
+func (rr *RoundRobin) JobsDone(ids []int) {
+	if len(rr.marked) == 0 {
+		return
+	}
+	out, c := rr.marked[:0], 0
+	for _, id := range rr.marked {
+		for c < len(ids) && ids[c] < id {
+			c++
+		}
+		if c == len(ids) || ids[c] != id {
+			out = append(out, id)
+		}
+	}
+	rr.marked = out
+}
 
 // RAD is the single-category adaptive scheduler of Figure 2. When the
 // number of α-active jobs is at most the processor count it behaves as DEQ
@@ -13,23 +106,13 @@ import (
 // round-robin cycles (time sharing): each cycle gives every α-active job
 // one processor for one step before any job is scheduled twice.
 //
-// State is one mark per job: marked means "already scheduled in the current
-// round-robin cycle". A RAD value is stateful and must not be shared
-// between concurrent simulations; K-RAD builds one RAD per category.
+// The only state carried between steps is the RoundRobin marks and bonus
+// rotation, so one Allot costs O(α-active jobs + marks) and the state is
+// bounded by the live jobs. A RAD value is stateful and must not be
+// shared between concurrent simulations; K-RAD builds one RAD per
+// category.
 type RAD struct {
-	// gen and stamp hold the round-robin marks as a generation-stamped
-	// dense slice keyed by job ID: stamp[id] == gen means marked. Clearing
-	// every mark is gen++ — O(1) instead of O(marks) — and membership is
-	// one bounds check plus one load instead of a map probe. stamp grows
-	// to the largest job ID marked so far; JobsDone zeroes slots so the
-	// marks themselves cannot leak across job lifetimes.
-	gen   uint64
-	stamp []uint64
-	// rot rotates which marked jobs receive the cycle-completing "bonus"
-	// service (the move from Q′ to Q below). Figure 2 leaves the choice
-	// unspecified; rotating it keeps long-run service counts equal instead
-	// of systematically favoring the lowest job IDs.
-	rot int
+	rr RoundRobin
 	// horizon is the leap-safety report of the most recent Allot/AllotInto
 	// call; see StableHorizon.
 	horizon int64
@@ -38,23 +121,10 @@ type RAD struct {
 }
 
 // NewRAD returns a fresh single-category RAD scheduler.
-func NewRAD() *RAD { return &RAD{gen: 1} }
+func NewRAD() *RAD { return &RAD{} }
 
 // Name implements sched.CategoryScheduler.
 func (r *RAD) Name() string { return "rad" }
-
-func (r *RAD) marked(id int) bool {
-	return id >= 0 && id < len(r.stamp) && r.stamp[id] == r.gen
-}
-
-func (r *RAD) mark(id int) {
-	if id >= len(r.stamp) {
-		grown := make([]uint64, id+1)
-		copy(grown, r.stamp)
-		r.stamp = grown
-	}
-	r.stamp[id] = r.gen
-}
 
 // emptyAllot is the shared zero-length allotment returned for empty job
 // sets so idle categories do not allocate every step.
@@ -102,15 +172,7 @@ func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 		return
 	}
 	// Split into Q (unmarked) and Q′ (marked), preserving ID order.
-	q := growInts(r.q, len(jobs))[:0]
-	qp := growInts(r.qp, len(jobs))[:0]
-	for i, j := range jobs {
-		if r.marked(j.ID) {
-			qp = append(qp, i)
-		} else {
-			q = append(q, i)
-		}
-	}
+	q, qp := r.rr.Split(jobs, growInts(r.q, len(jobs))[:0], growInts(r.qp, len(jobs))[:0])
 	r.q, r.qp = q, qp
 	if len(q) > p {
 		// ROUND-ROBIN: first P jobs of Q get one processor each, marked.
@@ -118,22 +180,9 @@ func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 		r.horizon = 0
 		for _, i := range q[:p] {
 			dst[i] = 1
-			r.mark(jobs[i].ID)
 		}
+		r.rr.Serve(jobs, q[:p])
 		return
-	}
-	// Cycle completes this step: fill Q from Q′ so no processor idles.
-	// The jobs moved over are chosen round-robin across cycles (see rot).
-	need := p - len(q)
-	if need > len(qp) {
-		need = len(qp)
-	}
-	if need > 0 {
-		start := r.rot % len(qp)
-		for j := 0; j < need; j++ {
-			q = append(q, qp[(start+j)%len(qp)])
-		}
-		r.rot += need
 	}
 	// Leap safety: with no marks at entry this call was pure DEQ and left
 	// the marks and rotation untouched, so the horizon is DEQ's. A cycle
@@ -143,6 +192,9 @@ func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 	} else {
 		r.horizon = 0
 	}
+	// Cycle completes this step: fill Q from Q′ so no processor idles, and
+	// unmark all jobs — a new cycle starts next step if still overloaded.
+	q = r.rr.Complete(q, qp, p)
 	desires := growInts(r.desires, len(q))
 	for j, i := range q {
 		desires[j] = jobs[i].Desire
@@ -153,8 +205,6 @@ func (r *RAD) AllotInto(t int64, jobs []sched.CatJob, p int, dst []int) {
 	for j, a := range DeqInto(r.deqAllot, r.deqScratch, desires, p, int(t)) {
 		dst[q[j]] = a
 	}
-	// Unmark all jobs: a new cycle starts next step if still overloaded.
-	r.gen++
 }
 
 // StableHorizon implements sched.CategoryStable: it reports how many
@@ -174,13 +224,7 @@ func (r *RAD) LeapTotals(t int64, jobs []sched.CatJob, p int, n int64, dst []int
 
 // JobsDone drops marks of completed jobs so state cannot grow without
 // bound across long online runs.
-func (r *RAD) JobsDone(ids []int) {
-	for _, id := range ids {
-		if id >= 0 && id < len(r.stamp) {
-			r.stamp[id] = 0
-		}
-	}
-}
+func (r *RAD) JobsDone(ids []int) { r.rr.JobsDone(ids) }
 
 // radState is the serialized form of a RAD's cross-step state.
 type radState struct {
@@ -189,16 +233,10 @@ type radState struct {
 }
 
 // SnapshotState captures the round-robin marks and the bonus-service
-// rotation, the only state RAD carries between steps. Marked IDs are
-// ascending (dense-slice order) so the encoding is deterministic.
+// rotation, the only state RAD carries between steps. The marks are kept
+// ascending, so the encoding is deterministic and costs O(marks).
 func (r *RAD) SnapshotState() ([]byte, error) {
-	st := radState{Rot: r.rot}
-	for id, g := range r.stamp {
-		if g == r.gen {
-			st.Marked = append(st.Marked, id)
-		}
-	}
-	return json.Marshal(st)
+	return json.Marshal(radState{Marked: r.rr.marked, Rot: r.rr.rot})
 }
 
 // RestoreState rebuilds the marks and rotation from a SnapshotState
@@ -208,15 +246,13 @@ func (r *RAD) RestoreState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("core: decode rad state: %w", err)
 	}
-	r.gen = 1
-	clear(r.stamp)
 	for _, id := range st.Marked {
 		if id < 0 {
 			return fmt.Errorf("core: rad state has negative job ID %d", id)
 		}
-		r.mark(id)
 	}
-	r.rot = st.Rot
+	slices.Sort(st.Marked)
+	r.rr = RoundRobin{marked: slices.Compact(st.Marked), rot: st.Rot}
 	r.horizon = 0
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"krad/internal/sched"
@@ -147,7 +148,7 @@ func TestRADJobsDoneClearsMarks(t *testing.T) {
 	r.Allot(1, jobs, 2) // marks jobs 0, 1
 	r.JobsDone([]int{0, 1})
 	for id := range jobs {
-		if r.marked(id) {
+		if slices.Contains(r.rr.marked, id) {
 			t.Errorf("job %d still marked after JobsDone", id)
 		}
 	}

@@ -21,9 +21,8 @@ import (
 // Everything else (DEQ under light load, marking, cycle completion with
 // rotation) matches RAD, so light-load behavior is identical.
 type RandomRAD struct {
-	marked map[int]bool
-	rot    int
-	rng    *rand.Rand
+	rr  RoundRobin
+	rng *rand.Rand
 	// order is the current cycle's service order (job IDs), drawn when a
 	// new cycle begins.
 	order map[int]int
@@ -37,9 +36,8 @@ type RandomRAD struct {
 // a given seed.
 func NewRandomRAD(seed int64) *RandomRAD {
 	return &RandomRAD{
-		marked: make(map[int]bool),
-		rng:    rand.New(rand.NewSource(seed)),
-		order:  make(map[int]int),
+		rng:   rand.New(rand.NewSource(seed)),
+		order: make(map[int]int),
 	}
 }
 
@@ -58,15 +56,7 @@ func (r *RandomRAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 		r.horizon = sched.Unbounded
 		return allot
 	}
-	q := make([]int, 0, len(jobs))
-	qp := make([]int, 0, len(jobs))
-	for i, j := range jobs {
-		if r.marked[j.ID] {
-			qp = append(qp, i)
-		} else {
-			q = append(q, i)
-		}
-	}
+	q, qp := r.rr.Split(jobs, make([]int, 0, len(jobs)), make([]int, 0, len(jobs)))
 	if len(q) > p {
 		r.horizon = 0
 		// Assign cycle positions lazily: jobs without a position in the
@@ -78,22 +68,13 @@ func (r *RandomRAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 		}
 		// Serve the p unmarked jobs with the smallest cycle keys.
 		sort.Slice(q, func(a, b int) bool { return r.order[jobs[q[a]].ID] < r.order[jobs[q[b]].ID] })
-		for _, i := range q[:p] {
+		served := q[:p]
+		for _, i := range served {
 			allot[i] = 1
-			r.marked[jobs[i].ID] = true
 		}
+		sort.Ints(served) // back to ID order for the mark merge
+		r.rr.Serve(jobs, served)
 		return allot
-	}
-	need := p - len(q)
-	if need > len(qp) {
-		need = len(qp)
-	}
-	if need > 0 {
-		start := r.rot % len(qp)
-		for j := 0; j < need; j++ {
-			q = append(q, qp[(start+j)%len(qp)])
-		}
-		r.rot += need
 	}
 	// Same leap-safety rule as RAD: stable only when this step was pure
 	// DEQ over a mark-free queue (the rng is untouched on this branch).
@@ -102,6 +83,7 @@ func (r *RandomRAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 	} else {
 		r.horizon = 0
 	}
+	q = r.rr.Complete(q, qp, p)
 	desires := make([]int, len(q))
 	for j, i := range q {
 		desires[j] = jobs[i].Desire
@@ -109,7 +91,6 @@ func (r *RandomRAD) Allot(t int64, jobs []sched.CatJob, p int) []int {
 	for j, a := range Deq(desires, p, int(t)) {
 		allot[q[j]] = a
 	}
-	clear(r.marked)
 	clear(r.order) // next overload starts a fresh random cycle
 	return allot
 }
@@ -125,8 +106,8 @@ func (r *RandomRAD) LeapTotals(t int64, jobs []sched.CatJob, p int, n int64, dst
 
 // JobsDone drops per-job state.
 func (r *RandomRAD) JobsDone(ids []int) {
+	r.rr.JobsDone(ids)
 	for _, id := range ids {
-		delete(r.marked, id)
 		delete(r.order, id)
 	}
 }

@@ -164,7 +164,7 @@ func AllotWith(s Scheduler, t int64, jobs []JobView, caps []int, m *Matrix) [][]
 // Completer is implemented by stateful schedulers (such as RAD's
 // round-robin marking) that want to drop per-job state when jobs finish.
 // The engine calls JobsDone after each step with the IDs of jobs that
-// completed during the step.
+// completed during the step, in ascending order.
 type Completer interface {
 	JobsDone(ids []int)
 }

@@ -217,6 +217,14 @@ func TestStealDrainsSkewedBacklog(t *testing.T) {
 	}
 	const n = 800
 	ids := submitBurst(t, svc, 0, n, 5, 0)
+	// Only pending jobs are stealable, and the victim's first step releases
+	// the whole t=0 burst. So the thieves' loops start first and steal from
+	// the still-parked victim; the victim's loop joins only after a steal
+	// landed, and the rest of the drain runs as a normal live fleet.
+	for _, sh := range svc.shards[1:] {
+		sh.start()
+	}
+	waitFor(t, "first steal", func() bool { st := svc.Stats(); return st.Steal != nil && st.Steal.Stolen > 0 })
 	svc.Start()
 	waitFor(t, "skewed drain", func() bool { return svc.Stats().Completed == n })
 	st := svc.Stats()
